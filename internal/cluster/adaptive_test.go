@@ -404,3 +404,105 @@ func TestCoordSingleflightDisabled(t *testing.T) {
 		t.Fatalf("coalesced = %d, want 0", got)
 	}
 }
+
+// holdTransport lets every coordinator->shard /query call reach its shard,
+// then holds the answer until release closes, signalling answered as each
+// one comes back. A flight held this way has already read its generation.
+type holdTransport struct {
+	base     http.RoundTripper
+	answered chan struct{}
+	release  chan struct{}
+}
+
+func (h *holdTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := h.base.RoundTrip(r)
+	if err != nil || !strings.HasSuffix(r.URL.Path, "/query") {
+		return resp, err
+	}
+	h.answered <- struct{}{}
+	select {
+	case <-h.release:
+		return resp, nil
+	case <-r.Context().Done():
+		resp.Body.Close()
+		return nil, r.Context().Err()
+	}
+}
+
+// TestCoordReloadSplitsFlight holds a flight open, with its pre-reload
+// answer already read, across an acknowledged POST /reload: a read sent
+// after the acknowledgement must lead its own flight and see the new
+// generation instead of joining the old one.
+func TestCoordReloadSplitsFlight(t *testing.T) {
+	// answered holds more signals than the test's two /query calls send,
+	// so no send blocks on the one receive.
+	hold := &holdTransport{answered: make(chan struct{}, 4), release: make(chan struct{})}
+	coord := startFileCluster(t, []map[string]string{
+		{"a": smallDoc(3)},
+	}, Config{WrapTransport: func(rt http.RoundTripper) http.RoundTripper {
+		hold.base = rt
+		return hold
+	}})
+	h := coord.Handler()
+	query := QueryRequest{QueryRequest: server.QueryRequest{Query: "count(//x)", Document: "a"}}
+
+	type res struct {
+		status int
+		data   []byte
+	}
+	pre, post := make(chan res, 1), make(chan res, 1)
+	go func() {
+		st, data := postCoord(t, h, query)
+		pre <- res{st, data}
+	}()
+	<-hold.answered // the leader's shard answered generation 1
+
+	r := httptest.NewRequest(http.MethodPost, "/reload?document=a", nil)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"generation":2`) {
+		t.Fatalf("reload: %d (%s)", w.Code, w.Body.String())
+	}
+
+	go func() {
+		st, data := postCoord(t, h, query)
+		post <- res{st, data}
+	}()
+	// The post-reload read either joins the held flight (counted as
+	// coalesced) or registers its own; wait for whichever happens.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		coord.flightMu.Lock()
+		n := len(coord.flights)
+		coord.flightMu.Unlock()
+		if n == 2 || coord.Coalesced() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("post-reload read neither joined nor led a flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(hold.release)
+
+	for _, c := range []struct {
+		name string
+		ch   chan res
+		gen  uint64
+	}{{"pre-reload", pre, 1}, {"post-reload", post, 2}} {
+		got := <-c.ch
+		if got.status != http.StatusOK {
+			t.Fatalf("%s read: status %d (%s)", c.name, got.status, got.data)
+		}
+		qr := decodeCoord(t, got.data)
+		if qr.Coalesced {
+			t.Fatalf("%s read joined another flight", c.name)
+		}
+		if qr.Generation != c.gen {
+			t.Fatalf("%s read: generation %d, want %d", c.name, qr.Generation, c.gen)
+		}
+	}
+	if got := coord.Coalesced(); got != 0 {
+		t.Fatalf("coalesced = %d, want 0", got)
+	}
+}

@@ -509,7 +509,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Singleflight: identical in-flight queries share one fan-out. Joining
 	// happens before slot admission — a joiner consumes no shard call, so
 	// it must never be turned away by the inflight bound.
-	k := flightKey(&req, c.state.Load().topo.Generation())
+	k := flightKey(&req, c.state.Load().topo.Generation(), c.reloadEpoch.Load())
 	execCtx, execCancel := context.WithTimeout(context.Background(), timeout)
 	f, leader := c.joinOrLead(k, execCancel)
 	if !leader {
@@ -854,6 +854,8 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 		}(&out[i], doc, sh)
 	}
 	wg.Wait()
+	// Acknowledged: from here on, reads must not join pre-reload flights.
+	c.reloadEpoch.Add(1)
 
 	agg := map[string]*ReloadShardStatus{}
 	warmed, failures := 0, 0

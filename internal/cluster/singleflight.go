@@ -1,10 +1,11 @@
 // Coordinator-level singleflight: concurrent identical queries — same
-// canonical query text, document expression, options and topology
-// generation — coalesce into one shard fan-out whose answer serves every
-// waiter. This is the same discipline as the shard server's singleflight,
-// one layer up: without it, N clients submitting one hot query through the
-// coordinator would fan out N identical shard calls, each of which the
-// shard would then coalesce anyway — paying N round-trips to save nothing.
+// canonical query text, document expression, options, topology generation
+// and reload epoch — coalesce into one shard fan-out whose answer serves
+// every waiter. This is the same discipline as the shard server's
+// singleflight, one layer up: without it, N clients submitting one hot
+// query through the coordinator would fan out N identical shard calls,
+// each of which the shard would then coalesce anyway — paying N
+// round-trips to save nothing.
 // The leader executes on a context detached from its own HTTP request;
 // a waiter (the leader's client included) cancelling merely leaves the
 // flight, and only the last departure cancels the fan-out. Leader failure
@@ -14,6 +15,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"sort"
 	"strings"
 	"sync"
@@ -55,13 +57,18 @@ func (f *coordFlight) complete(resp *QueryResponse, err *apiError) {
 type coordFlightState struct {
 	flightMu sync.Mutex
 	flights  map[string]*coordFlight
+	// reloadEpoch counts acknowledged /reload fan-outs. It is part of the
+	// flight key, so a read sent after a reload was acknowledged never
+	// joins a flight that may have read the previous generation.
+	reloadEpoch atomic.Uint64
 }
 
 // flightKey builds the coalescing key: canonical query text, the document
 // expression verbatim (a single name, a list, or "*" — each is its own
-// answer shape), the result-affecting request options, and the topology
-// generation so a flight never bridges a topology swap.
-func flightKey(req *QueryRequest, topoGen uint64) string {
+// answer shape), the result-affecting request options, the topology
+// generation so a flight never bridges a topology swap, and the reload
+// epoch so it never bridges an acknowledged document reload.
+func flightKey(req *QueryRequest, topoGen, reloadEpoch uint64) string {
 	cq, _ := canon.Canonicalize(req.Query)
 	var sb strings.Builder
 	sb.WriteString(cq)
@@ -85,10 +92,9 @@ func flightKey(req *QueryRequest, topoGen uint64) string {
 	if req.AllowPartial {
 		sb.WriteString("\x00partial")
 	}
-	var gb [8]byte
-	for i := 0; i < 8; i++ {
-		gb[i] = byte(topoGen >> (8 * i))
-	}
+	var gb [16]byte
+	binary.LittleEndian.PutUint64(gb[:8], topoGen)
+	binary.LittleEndian.PutUint64(gb[8:], reloadEpoch)
 	sb.WriteByte(0)
 	sb.Write(gb[:])
 	return sb.String()

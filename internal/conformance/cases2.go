@@ -169,6 +169,12 @@ var cases3 = []Case{
 	{Doc: "basic", Expr: "count(/descendant::*[@id mod 2 = 0])", Want: "num:3"},
 	{Doc: "basic", Expr: "/descendant-or-self::b[2]", Want: "nodes:b#3"},
 	{Doc: "basic", Expr: "/descendant::b[@id = '3']/following-sibling::c", Want: "nodes:c#4"},
+
+	// ---- the context node as a union branch, in a predicate: each b's
+	// own union with another path ----
+	{Doc: "basic", Expr: "count(//b[count(/root | .) = 2])", Want: "num:3"},
+	{Doc: "basic", Expr: "count(//b[count(. | /root/a) = 3])", Want: "num:3"},
+	{Doc: "basic", Expr: "count(//b[count((.)[1] | ./self::node() | /root) = 2])", Want: "num:3"},
 }
 
 func init() {

@@ -179,7 +179,41 @@ func Corpus() ([]Item, map[string]*dom.MemDoc, error) {
 			Expr:    genQuery(rng),
 		})
 	}
+	items = append(items, crossDocItems(docs["gen1"])...)
 	return items, docs, nil
+}
+
+// crossDocItems binds $other to the elements of a second document, so one
+// duplicate elimination sees the nodes of two documents: the context
+// document's from a path, $other's from the variable. Every result is a
+// count, sum or boolean, because the relative document order of the two
+// documents differs between the reference run and the store backend.
+func crossDocItems(other *dom.MemDoc) []Item {
+	var elems []dom.Node
+	for id := dom.NodeID(1); int(id) <= other.NodeCount(); id++ {
+		if other.Kind(id) == dom.KindElement {
+			elems = append(elems, dom.Node{Doc: other, ID: id})
+		}
+	}
+	vars := map[string]xval.Value{"other": xval.NodeSet(elems)}
+	var items []Item
+	for _, doc := range []string{"gen0", "gen2"} {
+		for _, expr := range []string{
+			"count($other | //a)",
+			"count(//b | $other | //b)",
+			"count($other/.. | //c/..)",
+			"count(($other | /root/*)/parent::*)",
+			"count(($other | //d)/ancestor::*)",
+			"count($other/descendant-or-self::node() | //node())",
+			"count(($other | //a)[@k])",
+			"count(//a[count($other | .) > count($other)])",
+			"sum(($other | //*)/@k)",
+			"boolean($other[@k = '1'] | //d[@k = '1'])",
+		} {
+			items = append(items, Item{DocName: doc, Expr: expr, Vars: vars})
+		}
+	}
+	return items
 }
 
 // Backend materializes a parsed document for one storage tier.

@@ -101,15 +101,6 @@ func WrapBatched(wrapper Iter, inner BatchIter) Iter {
 	return &wrapBatched{Iter: wrapper, bi: inner}
 }
 
-// nodeIdent is the typed duplicate-elimination key of the batched DupElim:
-// the same identity as nvm.Val.Key() for nodes (document ID plus node ID),
-// but comparable without boxing into an interface, so deduplicating a batch
-// allocates nothing beyond the map itself.
-type nodeIdent struct {
-	doc uint64
-	id  dom.NodeID
-}
-
 // batchLen returns the buffer length of this execution's batches.
 func (ex *Exec) batchLen() int {
 	if ex.BatchSize > 0 {
@@ -351,10 +342,7 @@ func (s *Select) NextBatch(out []dom.Node) (int, error) {
 // Batched implements BatchIter.
 func (d *DupElim) Batched() bool { return d.Batch && d.Ex != nil && d.Ex.BatchSize > 0 }
 
-// NextBatch implements BatchIter. Keys are typed node identities, so the
-// per-tuple interface boxing of the scalar path disappears; the DocID
-// interface call is amortized through a one-entry cache (a batch almost
-// always stays within one document).
+// NextBatch implements BatchIter.
 func (d *DupElim) NextBatch(out []dom.Node) (int, error) {
 	for {
 		k, err := d.bin.NextBatch(d.buf)
@@ -364,33 +352,9 @@ func (d *DupElim) NextBatch(out []dom.Node) (int, error) {
 		if k == 0 {
 			return 0, nil
 		}
-		n := 0
-		var added, dropped int64
-		for i := 0; i < k; i++ {
-			nd := d.buf[i]
-			var key nodeIdent
-			if !nd.IsNil() {
-				if nd.Doc != d.lastDoc {
-					d.lastDoc = nd.Doc
-					d.lastDocID = nd.Doc.DocID()
-				}
-				key = nodeIdent{doc: d.lastDocID, id: nd.ID}
-			}
-			if _, dup := d.nseen[key]; dup {
-				dropped++
-				continue
-			}
-			d.nseen[key] = struct{}{}
-			added++
-			out[n] = nd
-			n++
-		}
-		d.Ex.Stats.DupDropped += dropped
-		if added > 0 {
-			if err := d.Ex.Gov.Grow(keyBytes * added); err != nil {
-				return 0, err
-			}
-			d.charged += keyBytes * added
+		n, err := d.set.filter(d.Ex, out, d.buf[:k])
+		if err != nil {
+			return 0, err
 		}
 		if err := d.Ex.Gov.Events(int64(k)); err != nil {
 			return 0, err

@@ -138,7 +138,11 @@ type exWorker struct {
 	bi    batchSource
 	tasks chan exTask
 	stat  *WorkerStat
-	dedup *localDedup
+	// dedup is the per-task duplicate elimination of Exchange.LocalDedup.
+	// Its drops count into the worker's Stats.DupDropped, aggregated into
+	// the parent at teardown, so totals match the serial plan, where the
+	// global DupElim counted them.
+	dedup *dedup
 }
 
 // taskSource is the per-worker segment input: it serves exactly one task
@@ -172,66 +176,6 @@ func (s *taskSource) NextBatch(out []dom.Node) (int, error) {
 	k := copy(out, s.buf[s.pos:s.n])
 	s.pos += k
 	return k, nil
-}
-
-// localDedup is the optional per-task duplicate elimination of a worker
-// (see Exchange.LocalDedup). Accounting mirrors the batched DupElim: drops
-// count into the worker's Stats.DupDropped (aggregated into the parent at
-// teardown, so totals match the serial plan, where the global DupElim
-// counted them), keys charge the byte budget.
-type localDedup struct {
-	ex        *Exec
-	nseen     map[nodeIdent]struct{}
-	lastDoc   dom.Document
-	lastDocID uint64
-	charged   int64
-}
-
-// reset clears the set for a new task, releasing the previous task's key
-// charge.
-func (d *localDedup) reset() {
-	d.ex.Gov.Release(d.charged)
-	d.charged = 0
-	if d.nseen == nil {
-		d.nseen = make(map[nodeIdent]struct{})
-	} else {
-		clear(d.nseen)
-	}
-	d.lastDoc = nil
-}
-
-// filter compacts buf[:k] to its first occurrences, returning the kept
-// count.
-func (d *localDedup) filter(buf []dom.Node, k int) (int, error) {
-	n := 0
-	var added, dropped int64
-	for i := 0; i < k; i++ {
-		nd := buf[i]
-		var key nodeIdent
-		if !nd.IsNil() {
-			if nd.Doc != d.lastDoc {
-				d.lastDoc = nd.Doc
-				d.lastDocID = nd.Doc.DocID()
-			}
-			key = nodeIdent{doc: d.lastDocID, id: nd.ID}
-		}
-		if _, dup := d.nseen[key]; dup {
-			dropped++
-			continue
-		}
-		d.nseen[key] = struct{}{}
-		added++
-		buf[n] = nd
-		n++
-	}
-	d.ex.Stats.DupDropped += dropped
-	if added > 0 {
-		if err := d.ex.Gov.Grow(keyBytes * added); err != nil {
-			return 0, err
-		}
-		d.charged += keyBytes * added
-	}
-	return n, nil
 }
 
 // Open implements Iter: opens the feed, builds the per-worker pipelines on
@@ -268,7 +212,7 @@ func (e *Exchange) Open() error {
 			stat:  &e.stats[i],
 		}
 		if e.LocalDedup {
-			w.dedup = &localDedup{ex: wex}
+			w.dedup = &dedup{}
 		}
 		e.workers[i] = w
 		e.wg.Add(1)
@@ -490,7 +434,7 @@ func (w *exWorker) runTask(t exTask) (r exResult) {
 	}()
 	w.src.set(t.buf, t.n)
 	if w.dedup != nil {
-		w.dedup.reset()
+		w.dedup.reset(w.ex)
 	}
 	if err := w.pipe.Open(); err != nil {
 		w.e.Ex.PutNodeBuf(t.buf)
@@ -510,7 +454,7 @@ func (w *exWorker) runTask(t exTask) (r exResult) {
 			break
 		}
 		if w.dedup != nil {
-			k, err = w.dedup.filter(buf, k)
+			k, err = w.dedup.filter(w.ex, buf, buf[:k])
 			if err != nil {
 				w.e.Ex.PutNodeBuf(buf)
 				r.err = err

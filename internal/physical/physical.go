@@ -808,16 +808,11 @@ type DupElim struct {
 	// Batch marks this instance batch-capable (set by the code generator).
 	Batch bool
 
-	seen    map[any]struct{}
-	charged int64
+	set dedup
 
-	// Batched-protocol state: a typed node-identity set (no per-tuple
-	// interface boxing) and a one-entry DocID cache.
-	bin       batchSource
-	buf       []dom.Node
-	nseen     map[nodeIdent]struct{}
-	lastDoc   dom.Document
-	lastDocID uint64
+	// Batched-protocol state.
+	bin batchSource
+	buf []dom.Node
 }
 
 // keyBytes is the approximate cost of one dedup/hash-table key.
@@ -825,19 +820,12 @@ const keyBytes = 48
 
 // Open implements Iter.
 func (d *DupElim) Open() error {
-	d.Ex.Gov.Release(d.charged)
-	d.charged = 0
+	d.set.reset(d.Ex)
 	if d.Batched() {
-		if d.nseen == nil {
-			d.nseen = make(map[nodeIdent]struct{})
-		} else {
-			clear(d.nseen)
-		}
 		if d.buf == nil {
 			d.buf = d.Ex.GetNodeBuf()
 		}
 		d.bin = batchInput(d.In, d.Ex, d.AttrReg)
-		d.lastDoc = nil
 		if err := d.In.Open(); err != nil {
 			// Self-cleaning on failure: return the pooled batch buffer
 			// (no Close will follow this Open).
@@ -847,11 +835,6 @@ func (d *DupElim) Open() error {
 			return err
 		}
 		return nil
-	}
-	if d.seen == nil {
-		d.seen = make(map[any]struct{})
-	} else {
-		clear(d.seen)
 	}
 	return d.In.Open()
 }
@@ -863,17 +846,9 @@ func (d *DupElim) Next() (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		k := d.Ex.M.Regs[d.AttrReg].Key()
-		if _, dup := d.seen[k]; dup {
-			d.Ex.Stats.DupDropped++
-			continue
+		if keep, err := d.set.admit(d.Ex, d.Ex.M.Regs[d.AttrReg]); keep || err != nil {
+			return keep, err
 		}
-		if err := d.Ex.Gov.Grow(keyBytes); err != nil {
-			return false, err
-		}
-		d.charged += keyBytes
-		d.seen[k] = struct{}{}
-		return true, nil
 	}
 }
 

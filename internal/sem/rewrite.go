@@ -9,7 +9,8 @@ import "natix/internal/dom"
 //  1. merging the descendant-or-self::node() step produced by the //
 //     abbreviation with a following child (or descendant) step into a
 //     single descendant step, and
-//  2. dropping predicate-free self::node() steps.
+//  2. dropping predicate-free self::node() steps, except the last one of
+//     a relative path that is nothing else (".").
 //
 // Both rewrites are applied only where they provably preserve the result
 // node-set: the absorbed step must carry no predicates, and the following
@@ -26,6 +27,14 @@ func RewritePaths(e Expr) Expr {
 		}
 		out.FilterPreds = rewritePreds(n.FilterPreds)
 		out.Steps = rewriteSteps(n.Steps)
+		if len(out.Steps) == 0 && len(n.Steps) > 0 && n.Base == nil && !n.Absolute {
+			// Keep one self::node() of a path that is only the context
+			// node ("."): an empty relative path compiles to a register
+			// alias of the context, and a union branch renaming that
+			// alias to its shared column would leave the column unwritten.
+			s := *n.Steps[0]
+			out.Steps = []*Step{&s}
+		}
 		return out
 	case *Union:
 		out := &Union{Terms: make([]Expr, len(n.Terms))}

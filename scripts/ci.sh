@@ -9,6 +9,10 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# The benchmark is its own module, so `go vet ./...` and `go build ./...`
+# never compile it; vet it too, offline, with the environment
+# perfbench/run.sh uses.
+GOTOOLCHAIN=local GOFLAGS= GOPROXY=off GOWORK=off go -C perfbench vet ./...
 
 if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
